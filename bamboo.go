@@ -134,7 +134,10 @@ type Options struct {
 	// lock engines support it; Silo ignores the flag.
 	MVCC bool
 	// MVCCPruneInterval is the background version-pruner tick
-	// (0 = default 2ms). Only meaningful with MVCC set.
+	// (0 = default 2ms): each tick advances the reclaim watermark, and
+	// every few ticks the pruner trims the rows that commits queued for
+	// it, those left with more than one version. Only meaningful with
+	// MVCC set.
 	MVCCPruneInterval time.Duration
 	// GroupCommit batches commit-record device writes through the WAL's
 	// epoch-based group committer; GroupCommitInterval is the epoch

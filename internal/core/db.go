@@ -124,8 +124,10 @@ type Config struct {
 	MVCC bool
 	// MVCCPruneInterval is the background version-pruner tick: each tick
 	// advances the reclaim watermark (what install-time node reuse keys
-	// off), and every few ticks sweeps cold rows' chains. Zero defaults
-	// to 2ms. Only meaningful with MVCC.
+	// off), and every few ticks the pruner drains its queue of rows that
+	// commits left with more than one version, trimming the chains of
+	// rows no later write will trim. Zero defaults to 2ms. Only
+	// meaningful with MVCC.
 	MVCCPruneInterval time.Duration
 
 	// Adaptive enables runtime contention control (Bamboo variants only;

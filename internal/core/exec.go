@@ -82,6 +82,10 @@ type lockSession struct {
 	precs   []wal.Record
 	touched []int
 	tickets []wal.Ticket
+
+	// queued is the MVCC commit's scratch list of rows to hand to the
+	// version pruner's queue (see noteInstall); reused across commits.
+	queued []*storage.Row
 }
 
 // access is one row access of the running attempt.
@@ -227,14 +231,14 @@ func (tx *lockTx) acquire(row *storage.Row, mode lock.Mode) (*lock.Request, erro
 	start := time.Now()
 	err := tx.db.Lock.AcquireInto(req, tx.t, mode, &row.Entry)
 	tx.lockWait += time.Since(start)
-	tx.db.Global.RecordPartAccess(row.PartitionID)
+	tx.db.Global.RecordPartAccess(int(row.PartitionID))
 	if ad := tx.db.adapt; ad != nil {
 		if row.Entry.RecordAccess() == 1 && row.Entry.MarkSeen() {
-			ad.Register(&row.Entry, row.PartitionID)
+			ad.Register(&row.Entry, int(row.PartitionID))
 		}
 	}
 	if err != nil {
-		tx.db.Global.RecordPartConflict(row.PartitionID)
+		tx.db.Global.RecordPartConflict(int(row.PartitionID))
 		if tx.db.adapt != nil {
 			row.Entry.RecordConflict()
 		}
@@ -276,7 +280,7 @@ func (tx *lockTx) Read(row *storage.Row) ([]byte, error) {
 		// Snapshot path: resolve the newest version committed at or
 		// before the snapshot with a latch-free chain walk. No lock
 		// manager, no request, no allocation.
-		tx.db.Global.RecordPartAccess(row.PartitionID)
+		tx.db.Global.RecordPartAccess(int(row.PartitionID))
 		if img, ok := row.Versions.ReadAt(tx.snap); ok {
 			tx.snapReads++
 			return img, nil
@@ -340,7 +344,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 					// The after-image was never installed and nobody else
 					// saw it; donate its storage back as the spare.
 					a.req.StashBuf(img)
-					tx.db.Global.RecordPartConflict(row.PartitionID)
+					tx.db.Global.RecordPartConflict(int(row.PartitionID))
 					if tx.db.adapt != nil {
 						row.Entry.RecordConflict()
 					}
@@ -356,7 +360,7 @@ func (tx *lockTx) Update(row *storage.Row, mutate func(img []byte)) error {
 			err := tx.db.Lock.Upgrade(a.req)
 			tx.lockWait += time.Since(start)
 			if err != nil {
-				tx.db.Global.RecordPartConflict(row.PartitionID)
+				tx.db.Global.RecordPartConflict(int(row.PartitionID))
 				if tx.db.adapt != nil {
 					row.Entry.RecordConflict()
 				}
@@ -781,8 +785,9 @@ func (s *lockSession) commitPoint(tx *lockTx) error {
 // snapshot table's in-flight window, so snapshot readers observe the
 // whole commit or none of it. Version tails superseded below the reclaim
 // watermark are detached with one node reused — steady-state version
-// turnover on hot rows allocates nothing. Read-only locking-path attempts
-// skip the window entirely.
+// turnover on hot rows allocates nothing. Rows left with more than one
+// version join the version pruner's queue. Read-only locking-path
+// attempts skip the window entirely.
 func (s *lockSession) installVersions(tx *lockTx) error {
 	wrote := len(tx.inserts) > 0
 	if !wrote {
@@ -800,13 +805,15 @@ func (s *lockSession) installVersions(tx *lockTx) error {
 	cts := st.BeginCommit(s.worker, s.alloc)
 	rts := st.Reclaim()
 	reclaimed := 0
+	queued := s.queued[:0]
 	for i := range tx.accesses {
 		a := &tx.accesses[i]
 		if a.mode == lock.EX {
 			// Install adopts the committed image by reference — the chain
 			// and the lock entry share one buffer per committed version.
-			_, rec, freed := a.row.Versions.Install(a.req.Data, cts, rts)
+			n, rec, freed := a.row.Versions.Install(a.req.Data, cts, rts)
 			reclaimed += rec
+			queued = noteInstall(queued, a.row, n)
 			if freed != nil && s.db.onCommit == nil {
 				// Harvest: the detached version's image is unreachable by
 				// any snapshot reader (it is below the reclaim watermark)
@@ -823,6 +830,10 @@ func (s *lockSession) installVersions(tx *lockTx) error {
 			}
 		}
 	}
+	if len(queued) > 0 {
+		s.db.pruner.enqueue(queued)
+	}
+	s.queued = queued
 	for _, ins := range tx.inserts {
 		if _, err := ins.tbl.InsertRowAt(ins.key, ins.img, cts); err != nil {
 			st.EndCommit(s.worker)
@@ -862,7 +873,7 @@ func (s *lockSession) commitPartitioned(tx *lockTx) error {
 	for i := range tx.accesses {
 		a := &tx.accesses[i]
 		if a.mode == lock.EX {
-			put(a.row.PartitionID, wal.Write{
+			put(int(a.row.PartitionID), wal.Write{
 				Table: a.row.Table.Schema.Name,
 				Key:   a.row.Key,
 				Image: a.req.Data,

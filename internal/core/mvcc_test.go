@@ -9,6 +9,7 @@ import (
 	"bamboo/internal/storage"
 	"bamboo/internal/txn"
 	"bamboo/internal/verify/verifytest"
+	"bamboo/internal/workload/tpcc"
 )
 
 func mvccConfig(base core.Config) core.Config {
@@ -276,5 +277,138 @@ func TestMVCCRecoveryReseed(t *testing.T) {
 	}
 	if col.SnapshotReads == 0 {
 		t.Fatal("post-recovery read did not use the snapshot path")
+	}
+}
+
+// TestMVCCPruneColdRow: a row written once while the reclaim watermark
+// lags, and never written again, keeps its superseded version until the
+// pruner reclaims it. Install-time reclaim cannot cover this case — it
+// only runs when the row is written again — which is why the sweep
+// exists. One watermark advance plus one sweep must bring the chain
+// back to one version and count the reclaimed node in versions_pruned.
+func TestMVCCPruneColdRow(t *testing.T) {
+	cfg := core.Bamboo()
+	cfg.MVCC = true
+	cfg.MVCCPruneInterval = time.Hour // the test drives the cycles
+	db := core.NewDB(cfg)
+	defer db.Close()
+	schema := storage.NewSchema("kv", storage.Column{Name: "v", Type: storage.ColInt64})
+	tbl := db.Catalog.MustCreateTable(schema, 2)
+	for k := 0; k < 2; k++ {
+		tbl.MustInsertRow(uint64(k), schema.NewRowImage())
+	}
+	sess := core.NewLockEngine(db).NewSession(0, &stats.Collector{})
+	write := func(v int64) {
+		t.Helper()
+		if err := sess.Run(func(tx core.Tx) error {
+			tx.DeclareOps(1)
+			return tx.Update(tbl.Get(0), func(img []byte) { schema.SetInt64(img, 0, v) })
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cold := tbl.Get(0)
+	write(1)
+	if n := cold.Versions.Len(); n != 2 {
+		t.Fatalf("chain length after one write with the watermark lagging = %d, want 2", n)
+	}
+	if q := core.PruneQueueLen(db); q != 1 {
+		t.Fatalf("prune queue holds %d rows after one write, want 1", q)
+	}
+	core.PruneCycle(db)
+	if n := cold.Versions.Len(); n != 1 {
+		t.Fatalf("cold row's chain length after a prune cycle = %d, want 1", n)
+	}
+	if got := db.Global.VersionsPruned.Load(); got != 1 {
+		t.Fatalf("versions_pruned = %d, want 1", got)
+	}
+	if q := core.PruneQueueLen(db); q != 0 {
+		t.Fatalf("prune queue holds %d rows after the sweep, want 0", q)
+	}
+	if got := schema.GetInt64(cold.Versions.Head().Image(), 0); got != 1 {
+		t.Fatalf("surviving version holds v=%d, want the committed 1", got)
+	}
+
+	// The sweep cleared the row's queued bit, so the next write queues
+	// it again and the next cycle reclaims again.
+	write(2)
+	if q := core.PruneQueueLen(db); q != 1 {
+		t.Fatalf("prune queue holds %d rows after a second write, want 1", q)
+	}
+	core.PruneCycle(db)
+	if n := cold.Versions.Len(); n != 1 {
+		t.Fatalf("chain length after the second cycle = %d, want 1", n)
+	}
+	if got := db.Global.VersionsPruned.Load(); got != 2 {
+		t.Fatalf("versions_pruned = %d, want 2", got)
+	}
+	if n := tbl.Get(1).Versions.Len(); n != 1 {
+		t.Fatalf("unwritten row's chain length = %d, want 1", n)
+	}
+}
+
+// TestMVCCPruneCensus runs MVCC TPC-C on 4 workers with a short pruner
+// tick, so sweeps race commit-time installs throughout. Once the
+// workers stop and two prune cycles run, every chain in every table must
+// be back at one version: a row the queue lost (an install racing a
+// sweep's clear of the queued bit) would keep its superseded versions
+// forever. The background sweeps must have pruned something while the
+// workers ran, or the race was never exercised.
+func TestMVCCPruneCensus(t *testing.T) {
+	cfg := mvccConfig(core.Bamboo())
+	db := core.NewDB(cfg)
+	defer db.Close()
+	tc := tpcc.DefaultConfig()
+	tc.Items = 200
+	tc.CustomersPerDistrict = 60
+	tc.StockLevelFraction = 0.1
+	w, err := tpcc.Load(db, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.NewLockEngine(db)
+	deadline := time.Now().Add(20 * time.Second)
+	for round := 0; ; round++ {
+		res := core.RunFor(eng, 4, 200*time.Millisecond, w.Generator())
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if db.Global.VersionsPruned.Load() > 0 && round > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no background sweep pruned a version while the workers ran")
+		}
+	}
+	if err := w.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	swept := db.Global.VersionsPruned.Load()
+
+	core.ParkPruner(db)
+	core.PruneCycle(db)
+	core.PruneCycle(db)
+	rows, long := 0, 0
+	for _, tbl := range db.Catalog.AllTables() {
+		tbl.Range(func(key uint64, r *storage.Row) bool {
+			rows++
+			if n := r.Versions.Len(); n != 1 {
+				long++
+				if long <= 5 {
+					t.Errorf("%s row %d: chain length %d after two prune cycles, want 1",
+						tbl.Schema.Name, key, n)
+				}
+			}
+			return true
+		})
+	}
+	t.Logf("%d rows, %d versions pruned by sweeps during the run, %d after",
+		rows, swept, db.Global.VersionsPruned.Load()-swept)
+	if long > 0 {
+		t.Fatalf("%d of %d rows kept more than one version", long, rows)
+	}
+	if q := core.PruneQueueLen(db); q != 0 {
+		t.Fatalf("prune queue holds %d rows with every chain at one version", q)
 	}
 }

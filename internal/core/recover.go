@@ -209,7 +209,7 @@ func RecoveredTable(tbl *storage.Table) error {
 				bad = fmt.Errorf("row %d indexed in partition %d, routes to %d", key, p, want)
 				return false
 			}
-			if r.PartitionID != p {
+			if int(r.PartitionID) != p {
 				bad = fmt.Errorf("row %d carries PartitionID %d in partition %d", key, r.PartitionID, p)
 				return false
 			}

@@ -146,7 +146,7 @@ func TestPartitionedTableRouting(t *testing.T) {
 	for k := range keys {
 		anyKey = k
 		r := tbl.MustInsertRow(k, nil)
-		if want := tbl.PartitionFor(k); r.PartitionID != want {
+		if want := tbl.PartitionFor(k); int(r.PartitionID) != want {
 			t.Fatalf("row %d landed in partition %d, routed to %d", k, r.PartitionID, want)
 		}
 	}
@@ -283,7 +283,7 @@ func TestApplyRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.PartitionID != pid || tbl.Get(key) != fresh {
+	if int(fresh.PartitionID) != pid || tbl.Get(key) != fresh {
 		t.Fatalf("replayed insert not indexed: %+v", fresh)
 	}
 	if before := p.Rows(); before != 2 {

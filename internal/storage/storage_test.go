@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func testSchema() *Schema {
@@ -188,5 +189,30 @@ func TestCatalog(t *testing.T) {
 	}
 	if names := c.Tables(); len(names) != 1 || names[0] != "t" {
 		t.Fatalf("tables = %v", names)
+	}
+}
+
+// TestRowSize pins Row at 240 bytes, an exact Go allocation size class:
+// one more word rounds every row up to the 256-byte class, 16 bytes more
+// per row across the whole catalog. The MVCC prune-queued bit shares a
+// word with the 32-bit PartitionID for this reason.
+func TestRowSize(t *testing.T) {
+	if got := unsafe.Sizeof(Row{}); got != 240 {
+		t.Fatalf("unsafe.Sizeof(Row{}) = %d, want 240", got)
+	}
+}
+
+// TestRowPruneQueuedBit: the bit is taken once until cleared.
+func TestRowPruneQueuedBit(t *testing.T) {
+	var r Row
+	if !r.MarkPruneQueued() {
+		t.Fatal("first mark on a fresh row failed")
+	}
+	if r.MarkPruneQueued() {
+		t.Fatal("second mark succeeded while the row was queued")
+	}
+	r.ClearPruneQueued()
+	if !r.MarkPruneQueued() {
+		t.Fatal("mark after clear failed")
 	}
 }

@@ -34,11 +34,29 @@ type Row struct {
 	// Key is the primary key the row was inserted under.
 	Key uint64
 	// PartitionID is the id of the partition the row lives in — the seam
-	// multi-node routing and per-partition telemetry key off.
-	PartitionID int
+	// multi-node routing and per-partition telemetry key off. It is 32
+	// bits wide so pruneQueued fits in the same word and Row stays in
+	// the 240-byte allocation size class.
+	PartitionID int32
+	// pruneQueued is set while the row sits in the MVCC pruner's queue
+	// (see MarkPruneQueued).
+	pruneQueued atomic.Uint32
 	// Table is a back-reference to the owning table (schema access).
 	Table *Table
 }
+
+// MarkPruneQueued sets the row's prune-queued bit and reports whether
+// this call set it; false means the row is already queued. A committer
+// whose install leaves the version chain longer than one version calls
+// it and queues the row for the MVCC pruner only on true, so a hot row
+// is queued once, not on every write.
+func (r *Row) MarkPruneQueued() bool {
+	return r.pruneQueued.Load() == 0 && r.pruneQueued.CompareAndSwap(0, 1)
+}
+
+// ClearPruneQueued clears the prune-queued bit. The pruner calls it when
+// it drops the row from its queue.
+func (r *Row) ClearPruneQueued() { r.pruneQueued.Store(0) }
 
 // Schema returns the row's schema.
 func (r *Row) Schema() *Schema { return r.Table.Schema }
@@ -109,7 +127,7 @@ func (t *Table) InsertRow(key uint64, image []byte) (*Row, error) {
 			key, pid, len(t.parts), t.Schema.Name)
 	}
 	p := t.parts[pid]
-	r := &Row{Key: key, PartitionID: pid, Table: t}
+	r := &Row{Key: key, PartitionID: int32(pid), Table: t}
 	r.Entry.Init(image)
 	if t.mvcc {
 		// Seeded at ts 0: a loaded row is visible to every snapshot.
@@ -140,7 +158,7 @@ func (t *Table) InsertRowAt(key uint64, image []byte, ts uint64) (*Row, error) {
 			key, pid, len(t.parts), t.Schema.Name)
 	}
 	p := t.parts[pid]
-	r := &Row{Key: key, PartitionID: pid, Table: t}
+	r := &Row{Key: key, PartitionID: int32(pid), Table: t}
 	r.Entry.Init(image)
 	if t.mvcc {
 		r.Versions.Seed(ts, image)
@@ -373,8 +391,7 @@ func (c *Catalog) Table(name string) *Table {
 	return c.tables[name]
 }
 
-// AllTables returns the tables in the catalog (unspecified order); the
-// version pruner sweeps over this.
+// AllTables returns the tables in the catalog (unspecified order).
 func (c *Catalog) AllTables() []*Table {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -179,7 +179,7 @@ func TestTPCCParallelLoadMatchesSerial(t *testing.T) {
 				missing++
 				return false
 			}
-			if r.PartitionID != p.PartitionFor(k) {
+			if int(r.PartitionID) != p.PartitionFor(k) {
 				t.Fatalf("table %s key %d in partition %d, routes to %d",
 					p.Schema.Name, k, r.PartitionID, p.PartitionFor(k))
 			}

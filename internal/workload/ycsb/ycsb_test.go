@@ -102,7 +102,7 @@ func TestYCSBPartitionedLoadComplete(t *testing.T) {
 		if r == nil {
 			t.Fatalf("key %d missing after parallel load", k)
 		}
-		if r.PartitionID != tbl.PartitionFor(uint64(k)) {
+		if int(r.PartitionID) != tbl.PartitionFor(uint64(k)) {
 			t.Fatalf("key %d in partition %d, routes to %d", k, r.PartitionID, tbl.PartitionFor(uint64(k)))
 		}
 	}
